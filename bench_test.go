@@ -29,6 +29,17 @@ func benchScale() StudyScale {
 	}
 }
 
+// testEngine is a default Engine for one test or benchmark; in a benchmark
+// its cache carries private-mode references across iterations.
+func testEngine(tb testing.TB) *Engine {
+	tb.Helper()
+	e, err := NewEngine()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
 // BenchmarkTable1Config regenerates Table I (the CMP model parameters).
 func BenchmarkTable1Config(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -44,8 +55,9 @@ func BenchmarkTable1Config(b *testing.B) {
 // BenchmarkFigure3IPCAccuracy regenerates Figure 3a: the average absolute RMS
 // error of the private-mode IPC estimates for every technique.
 func BenchmarkFigure3IPCAccuracy(b *testing.B) {
+	e := testEngine(b)
 	for i := 0; i < b.N; i++ {
-		res, err := AccuracyStudy(AccuracyOptions{
+		res, err := e.AccuracyStudy(context.Background(), AccuracyOptions{
 			Cores:               4,
 			Mix:                 MixH,
 			Workloads:           1,
@@ -68,8 +80,9 @@ func BenchmarkFigure3IPCAccuracy(b *testing.B) {
 // BenchmarkFigure3StallAccuracy regenerates Figure 3b: the SMS-load stall
 // cycle estimation errors.
 func BenchmarkFigure3StallAccuracy(b *testing.B) {
+	e := testEngine(b)
 	for i := 0; i < b.N; i++ {
-		res, err := AccuracyStudy(AccuracyOptions{
+		res, err := e.AccuracyStudy(context.Background(), AccuracyOptions{
 			Cores:               4,
 			Mix:                 MixM,
 			Workloads:           1,
@@ -92,8 +105,9 @@ func BenchmarkFigure3StallAccuracy(b *testing.B) {
 // BenchmarkFigure4Distribution regenerates Figure 4: the sorted per-benchmark
 // stall-error distributions across core counts.
 func BenchmarkFigure4Distribution(b *testing.B) {
+	e := testEngine(b)
 	for i := 0; i < b.N; i++ {
-		fig3, err := experiments.Figure3(benchScale())
+		fig3, err := e.Figure3(context.Background(), benchScale())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,8 +125,9 @@ func BenchmarkFigure4Distribution(b *testing.B) {
 // BenchmarkFigure5Components regenerates Figure 5: the CPL, overlap and
 // latency component error distributions of GDP/GDP-O.
 func BenchmarkFigure5Components(b *testing.B) {
+	e := testEngine(b)
 	for i := 0; i < b.N; i++ {
-		res, err := AccuracyStudy(AccuracyOptions{
+		res, err := e.AccuracyStudy(context.Background(), AccuracyOptions{
 			Cores:               4,
 			Mix:                 MixH,
 			Workloads:           1,
@@ -137,8 +152,9 @@ func BenchmarkFigure5Components(b *testing.B) {
 // BenchmarkFigure6STP regenerates Figure 6: system throughput under the five
 // LLC management policies.
 func BenchmarkFigure6STP(b *testing.B) {
+	e := testEngine(b)
 	for i := 0; i < b.N; i++ {
-		res, err := PartitioningStudy(PartitioningOptions{
+		res, err := e.PartitioningStudy(context.Background(), PartitioningOptions{
 			Cores:               4,
 			Mix:                 MixH,
 			Workloads:           1,
@@ -160,6 +176,7 @@ func BenchmarkFigure6STP(b *testing.B) {
 // regenerates all six panels.
 func BenchmarkFigure7Sensitivity(b *testing.B) {
 	opts := experiments.SensitivityOptions{Scale: benchScale()}
+	opts.Scale.Cache = runner.NewCache()
 	for i := 0; i < b.N; i++ {
 		d, err := experiments.Figure7d(context.Background(), opts)
 		if err != nil {
@@ -181,10 +198,11 @@ func BenchmarkFigure7Sensitivity(b *testing.B) {
 // BenchmarkAblationPRBSize sweeps the Pending Request Buffer size (the
 // Figure 7e ablation of the PRB eviction design decision).
 func BenchmarkAblationPRBSize(b *testing.B) {
+	e := testEngine(b)
 	for _, entries := range []int{8, 32, 128} {
 		b.Run(sizeName(entries), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := AccuracyStudy(AccuracyOptions{
+				res, err := e.AccuracyStudy(context.Background(), AccuracyOptions{
 					Cores:               4,
 					Mix:                 MixH,
 					Workloads:           1,
@@ -220,6 +238,7 @@ func sizeName(entries int) string {
 // machine). A fresh in-memory cache per iteration keeps the comparison
 // honest (no cross-iteration reference reuse).
 func BenchmarkAccuracySweep(b *testing.B) {
+	e := testEngine(b)
 	parallel := runtime.NumCPU()
 	if parallel < 2 {
 		parallel = 2
@@ -227,7 +246,7 @@ func BenchmarkAccuracySweep(b *testing.B) {
 	for _, jobs := range []int{1, parallel} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := AccuracyStudy(AccuracyOptions{
+				res, err := e.AccuracyStudy(context.Background(), AccuracyOptions{
 					Cores:               4,
 					Mix:                 MixH,
 					Workloads:           4,
@@ -251,6 +270,7 @@ func BenchmarkAccuracySweep(b *testing.B) {
 // BenchmarkSimulatorThroughput measures the raw simulator speed (cycles per
 // second of a 4-core shared-mode run); it is the cost driver of every figure.
 func BenchmarkSimulatorThroughput(b *testing.B) {
+	e := testEngine(b)
 	ws, err := GenerateWorkloads(4, MixH, 1, 3)
 	if err != nil {
 		b.Fatal(err)
@@ -262,7 +282,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ResetTimer()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		res, err := Run(SimOptions{
+		res, err := e.Run(context.Background(), SimOptions{
 			Config:              ScaledConfig(4),
 			Workload:            ws[0],
 			InstructionsPerCore: 3000,

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"sync"
 
 	"repro/internal/dispatch"
 	"repro/internal/experiments"
@@ -40,10 +39,6 @@ type Engine struct {
 	// resolved cache once all options have run, so it composes with
 	// WithCache in either order.
 	cacheBudget int64
-	// processCache marks the engine behind the deprecated package-level
-	// functions: it resolves its cache through the process-wide default at
-	// every call, so SetDefaultResultCache keeps affecting legacy callers.
-	processCache bool
 
 	// registry holds every metric family the Engine's layers register; the
 	// service layer exposes it as /metrics. instr is the per-layer
@@ -213,8 +208,7 @@ func NewEngine(opts ...EngineOption) (*Engine, error) {
 }
 
 // initTelemetry builds the Engine's metric registry and instrumentation
-// bundle. Cache metrics read through Cache() at scrape time, so they follow
-// the process-wide default cache on the legacy Engine.
+// bundle.
 func (e *Engine) initTelemetry() {
 	e.registry = telemetry.NewRegistry()
 	e.instr = experiments.NewInstrumentation(e.registry)
@@ -242,12 +236,7 @@ func (e *Engine) simMetrics() *sim.Metrics {
 }
 
 // Cache returns the Engine's result cache.
-func (e *Engine) Cache() *ResultCache {
-	if e.processCache {
-		return experiments.DefaultCache()
-	}
-	return e.cache
-}
+func (e *Engine) Cache() *ResultCache { return e.cache }
 
 // Scale returns the Engine's default experiment scale with the Engine's
 // worker-pool width, cache and progress sink filled in.
@@ -256,7 +245,7 @@ func (e *Engine) Scale() StudyScale {
 	if s.Jobs == 0 {
 		s.Jobs = e.jobs
 	}
-	if s.Cache == nil && !e.processCache {
+	if s.Cache == nil {
 		s.Cache = e.cache
 	}
 	if s.Progress == nil {
@@ -278,7 +267,7 @@ func (e *Engine) fillScale(s StudyScale) StudyScale {
 	if s.Jobs == 0 {
 		s.Jobs = e.jobs
 	}
-	if s.Cache == nil && !e.processCache {
+	if s.Cache == nil {
 		s.Cache = e.cache
 	}
 	if s.Progress == nil {
@@ -311,8 +300,7 @@ func (e *Engine) fillSim(opts *SimOptions) {
 
 // RunPrivate executes a benchmark alone on the CMP, aligned on the supplied
 // instruction sample points. maxCycles bounds the run as a safety net; zero
-// selects a generous default derived from the last sample point. (The
-// deprecated package-level RunPrivate always defaulted this bound.)
+// selects a generous default derived from the last sample point.
 func (e *Engine) RunPrivate(ctx context.Context, cfg *CMPConfig, bench Benchmark,
 	samplePoints []uint64, seed int64, maxCycles uint64) (*PrivateReference, error) {
 	return sim.RunPrivateContext(ctx, cfg, bench, samplePoints, seed, maxCycles)
@@ -572,7 +560,7 @@ func (e *Engine) fillStudy(jobs *int, cache **ResultCache, progress *ProgressFun
 	if *jobs == 0 {
 		*jobs = e.jobs
 	}
-	if *cache == nil && !e.processCache {
+	if *cache == nil {
 		*cache = e.cache
 	}
 	if *progress == nil {
@@ -581,23 +569,4 @@ func (e *Engine) fillStudy(jobs *int, cache **ResultCache, progress *ProgressFun
 	if *instr == nil {
 		*instr = e.instr
 	}
-}
-
-// defaultEngine backs the deprecated package-level functions. It shares the
-// process-wide default cache so SetDefaultResultCache keeps working for
-// legacy callers.
-var (
-	defaultEngineOnce sync.Once
-	defaultEngine     *Engine
-)
-
-// DefaultEngine returns the process-wide Engine the deprecated package-level
-// functions run on. Its studies use the process-wide default result cache
-// (DefaultResultCache), so SetDefaultResultCache affects it.
-func DefaultEngine() *Engine {
-	defaultEngineOnce.Do(func() {
-		defaultEngine = &Engine{scale: experiments.DefaultScale(), processCache: true}
-		defaultEngine.initTelemetry()
-	})
-	return defaultEngine
 }

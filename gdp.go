@@ -31,15 +31,10 @@
 //   - the parallel experiment runner (worker-pool fan-out, result caching,
 //     progress reporting and grid sweeps).
 //
-// The batch-style package-level functions (Run, AccuracyStudy, Sweep, ...)
-// are deprecated shims over a process-wide default Engine; new code should
-// construct an Engine.
-//
 // See examples/ for runnable programs built only on this package.
 package gdp
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/accounting"
@@ -191,22 +186,6 @@ var (
 	ErrCheckpointMismatch = sim.ErrCheckpointMismatch
 )
 
-// Run executes a shared-mode simulation.
-//
-// Deprecated: use Engine.Run, which takes a context honored mid-simulation.
-func Run(opts SimOptions) (*SimResult, error) {
-	return DefaultEngine().Run(context.Background(), opts)
-}
-
-// RunPrivate executes a benchmark alone on the CMP, aligned on the supplied
-// instruction sample points.
-//
-// Deprecated: use Engine.RunPrivate, which takes a context and exposes the
-// run's cycle bound instead of always defaulting it.
-func RunPrivate(cfg *CMPConfig, bench Benchmark, samplePoints []uint64, seed int64) (*PrivateReference, error) {
-	return DefaultEngine().RunPrivate(context.Background(), cfg, bench, samplePoints, seed, 0)
-}
-
 // Metrics.
 
 // STP computes system throughput from per-core private and shared CPIs.
@@ -244,34 +223,6 @@ func DefaultScale() StudyScale { return experiments.DefaultScale() }
 
 // PaperScale returns a scale closer to the paper's workload population.
 func PaperScale() StudyScale { return experiments.PaperScale() }
-
-// AccuracyStudy runs one cell of the accounting-accuracy evaluation.
-//
-// Deprecated: use Engine.AccuracyStudy, which takes a context.
-func AccuracyStudy(opts AccuracyOptions) (*AccuracyResult, error) {
-	return DefaultEngine().AccuracyStudy(context.Background(), opts)
-}
-
-// PartitioningStudy runs one cell of the LLC-partitioning evaluation.
-//
-// Deprecated: use Engine.PartitioningStudy, which takes a context.
-func PartitioningStudy(opts PartitioningOptions) (*PartitioningResult, error) {
-	return DefaultEngine().PartitioningStudy(context.Background(), opts)
-}
-
-// Figure3 regenerates Figures 3a/3b for the given scale.
-//
-// Deprecated: use Engine.Figure3, which takes a context.
-func Figure3(scale StudyScale) (*Figure3Result, error) {
-	return DefaultEngine().Figure3(context.Background(), scale)
-}
-
-// Figure7 regenerates every panel of the sensitivity study.
-//
-// Deprecated: use Engine.Figure7, which takes a context.
-func Figure7(opts SensitivityOptions) ([]*SensitivityResult, error) {
-	return DefaultEngine().Figure7(context.Background(), opts)
-}
 
 // Experiment runner.
 type (
@@ -325,14 +276,6 @@ func NewResultCache() *ResultCache { return runner.NewCache() }
 // dir, so repeated processes reuse earlier simulations.
 func NewDiskResultCache(dir string) (*ResultCache, error) { return runner.NewDiskCache(dir) }
 
-// DefaultResultCache returns the process-wide cache every experiment driver
-// uses unless its options name another one.
-func DefaultResultCache() *ResultCache { return experiments.DefaultCache() }
-
-// SetDefaultResultCache replaces the process-wide result cache (for example
-// with a disk-backed one).
-func SetDefaultResultCache(c *ResultCache) { experiments.SetDefaultCache(c) }
-
 // ConsoleProgress returns a ProgressFunc that prints one line per completed
 // simulation cell to w.
 func ConsoleProgress(w io.Writer) ProgressFunc { return runner.ConsoleProgress(w) }
@@ -342,11 +285,3 @@ func WriteJSON(w io.Writer, v any) error { return runner.WriteJSON(w, v) }
 
 // WriteJSONFile writes v as indented JSON to a file.
 func WriteJSONFile(path string, v any) error { return runner.WriteJSONFile(path, v) }
-
-// Sweep runs a user-defined experiment grid (cores × mixes × PRB sizes ×
-// policies) through the parallel runner.
-//
-// Deprecated: use Engine.Sweep, which takes a context.
-func Sweep(opts SweepOptions) (*SweepResult, error) {
-	return DefaultEngine().Sweep(context.Background(), opts)
-}

@@ -1,6 +1,7 @@
 package gdp
 
 import (
+	"context"
 	"testing"
 )
 
@@ -71,7 +72,8 @@ func TestPublicEndToEndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(SimOptions{
+	e := testEngine(t)
+	res, err := e.Run(context.Background(), SimOptions{
 		Config:              cfg,
 		Workload:            ws[0],
 		InstructionsPerCore: 3000,
@@ -87,7 +89,7 @@ func TestPublicEndToEndRun(t *testing.T) {
 	if res.Cycles == 0 || len(res.Intervals[0]) == 0 {
 		t.Fatal("run produced no results")
 	}
-	priv, err := RunPrivate(cfg, ws[0].Benchmarks[0], res.SamplePoints[0], 9)
+	priv, err := e.RunPrivate(context.Background(), cfg, ws[0].Benchmarks[0], res.SamplePoints[0], 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestPublicScales(t *testing.T) {
 func TestPublicSweepAndCache(t *testing.T) {
 	cache := NewResultCache()
 	var events int
-	res, err := Sweep(SweepOptions{
+	res, err := testEngine(t).Sweep(context.Background(), SweepOptions{
 		CoreCounts:          []int{2},
 		Mixes:               []MixKind{MixH},
 		PRBSizes:            []int{32},
@@ -138,8 +140,5 @@ func TestPublicSweepAndCache(t *testing.T) {
 	}
 	if _, misses := cache.Stats(); misses == 0 {
 		t.Error("cache saw no simulations")
-	}
-	if DefaultResultCache() == nil {
-		t.Error("no default result cache")
 	}
 }

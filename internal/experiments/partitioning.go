@@ -35,7 +35,7 @@ type PartitioningOptions struct {
 	// for any value.
 	Jobs int
 	// Cache memoizes the policy-independent private-mode runs
-	// (nil = DefaultCache()).
+	// (nil = a fresh cache for this call).
 	Cache *runner.Cache
 	// Progress, when non-nil, receives one event per completed job.
 	Progress runner.ProgressFunc
@@ -64,7 +64,7 @@ func (o PartitioningOptions) withDefaults() PartitioningOptions {
 		o.Policies = PolicyNames
 	}
 	if o.Cache == nil {
-		o.Cache = DefaultCache()
+		o.Cache = runner.NewCache()
 	}
 	return o
 }

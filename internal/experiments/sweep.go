@@ -42,7 +42,8 @@ type SweepOptions struct {
 	// Jobs is the worker-pool width for the grid (0 = runtime.NumCPU()).
 	Jobs int
 	// Cache memoizes private-mode reference runs, whole grid cells and — when
-	// WarmupIntervals is set — shared warmup checkpoints (nil = DefaultCache()).
+	// WarmupIntervals is set — shared warmup checkpoints (nil = a fresh cache
+	// for this call).
 	Cache *runner.Cache
 	// Progress, when non-nil, receives one event per completed grid cell.
 	Progress runner.ProgressFunc
@@ -85,7 +86,7 @@ func (o SweepOptions) withDefaults() SweepOptions {
 		o.Techniques = TechniqueNames
 	}
 	if o.Cache == nil {
-		o.Cache = DefaultCache()
+		o.Cache = runner.NewCache()
 	}
 	return o
 }

@@ -2,8 +2,10 @@
 # serve_smoke.sh boots `gdpsim serve` on an ephemeral loopback port, probes
 # /healthz and /metrics, and fails unless the health payload is ok and the
 # metrics exposition carries the gdpsim_http_requests_total family (which the
-# healthz probe itself populates). It is the CI check that the binary, the
-# HTTP layer and the telemetry registry work end to end, not just in-process.
+# healthz probe itself populates). It also posts one estimate twice and
+# requires the repeat to be a result-cache hit: one simulation, identical
+# bytes. It is the CI check that the binary, the HTTP layer and the telemetry
+# registry work end to end, not just in-process.
 set -eu
 
 GO=${GO:-go}
@@ -18,7 +20,7 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 $GO build -o "$workdir/gdpsim" ./cmd/gdpsim
-"$workdir/gdpsim" -cache-mem-mb 64 serve -addr 127.0.0.1:0 -coalesce-window 5ms 2>"$log" &
+"$workdir/gdpsim" -cache-mem-mb 64 serve -addr 127.0.0.1:0 2>"$log" &
 server_pid=$!
 
 # The startup log line carries the resolved ephemeral address:
@@ -37,11 +39,16 @@ health=$(curl -fsS "http://$addr/healthz")
 echo "$health" | grep -q '"status": "ok"' || { echo "bad healthz payload: $health"; exit 1; }
 echo "$health" | grep -q '"schema_version"' || { echo "healthz missing schema_version: $health"; exit 1; }
 
-# One real estimate exercises the coalescer path (a single request is still
-# one batch) before the metrics scrape.
-curl -fsS -X POST "http://$addr/v1/estimate" \
-    -d '{"cores": 2, "mix": "H", "instructions_per_core": 2000, "interval_cycles": 2000}' \
-    | grep -q '"cores"' || { echo "estimate request failed"; exit 1; }
+# The same estimate twice: the first runs the simulation, the repeat must be
+# served from the result cache's memory layer with byte-identical output.
+estimate='{"cores": 2, "mix": "H", "instructions_per_core": 2000, "interval_cycles": 2000}'
+for i in 1 2; do
+    curl -fsS -X POST "http://$addr/v1/estimate" -d "$estimate" >"$workdir/estimate$i.json" || {
+        echo "estimate request $i failed"; exit 1; }
+done
+grep -q '"cores"' "$workdir/estimate1.json" || { echo "estimate response lacks cores"; exit 1; }
+cmp -s "$workdir/estimate1.json" "$workdir/estimate2.json" || {
+    echo "repeated estimate is not byte-identical"; exit 1; }
 
 metrics=$(curl -fsS "http://$addr/metrics")
 echo "$metrics" | grep -q '^gdpsim_http_requests_total{' || {
@@ -49,12 +56,15 @@ echo "$metrics" | grep -q '^gdpsim_http_requests_total{' || {
 echo "$metrics" | grep -q '^# TYPE gdpsim_http_request_seconds histogram' || {
     echo "metrics exposition missing the latency histogram family"; exit 1; }
 for series in gdpsim_cache_evictions_total gdpsim_cache_mem_bytes \
-              gdpsim_cache_mem_budget_bytes gdpsim_coalesce_joined_total; do
+              gdpsim_cache_mem_budget_bytes; do
     echo "$metrics" | grep -q "^$series " || {
         echo "metrics exposition missing $series"; exit 1; }
 done
-echo "$metrics" | grep -q '^gdpsim_coalesce_batches_total{reason=' || {
-    echo "metrics exposition missing gdpsim_coalesce_batches_total series"; exit 1; }
+runs=$(echo "$metrics" | sed -n 's/^gdpsim_sim_runs_total //p')
+[ "$runs" = 1 ] || { echo "gdpsim_sim_runs_total = '$runs', want 1 (the repeat must not simulate)"; exit 1; }
+memhits=$(echo "$metrics" | sed -n 's/^gdpsim_cache_hits_total{layer="memory"} //p')
+[ "${memhits:-0}" -ge 1 ] 2>/dev/null || {
+    echo "gdpsim_cache_hits_total{layer=\"memory\"} = '$memhits', want >= 1"; exit 1; }
 # -cache-mem-mb 64 = 67108864 bytes must be reported as the budget gauge.
 echo "$metrics" | grep -q '^gdpsim_cache_mem_budget_bytes 6.7108864e+07' || {
     echo "cache budget gauge does not reflect -cache-mem-mb 64:"

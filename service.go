@@ -607,12 +607,6 @@ type Server struct {
 	batches     *batchRegistry
 	cellSem     chan struct{}
 	dispatchSrv *dispatchServerMetrics
-	// coalesce merges concurrent identical estimate requests into one
-	// simulation (see service_coalesce.go); coalesceWindow/coalesceMax are
-	// its WithCoalesce configuration, applied at construction.
-	coalesce       *coalescer
-	coalesceWindow time.Duration
-	coalesceMax    int
 }
 
 // httpServerMetrics holds the HTTP-layer metric handles, resolved once at
@@ -645,9 +639,11 @@ func newHTTPServerMetrics(r *telemetry.Registry) *httpServerMetrics {
 // ServerOption configures a Server.
 type ServerOption func(*Server) error
 
-// WithMaxConcurrent bounds how many estimation/sweep requests run
+// WithMaxConcurrent bounds how many sweeps and estimate simulations run
 // simultaneously (default 2×NumCPU as reported by the runtime; healthz is
-// never limited). Excess requests receive 503 Service Unavailable.
+// never limited, and an estimate that joins an in-flight simulation or hits
+// the result cache takes no slot). Excess requests receive 503 Service
+// Unavailable.
 func WithMaxConcurrent(n int) ServerOption {
 	return func(s *Server) error {
 		if n < 1 {
@@ -682,11 +678,10 @@ func WithPprof() ServerOption {
 	}
 }
 
-// NewServer wraps an Engine as an HTTP handler. A nil engine selects
-// DefaultEngine().
+// NewServer wraps an Engine as an HTTP handler.
 func NewServer(engine *Engine, opts ...ServerOption) (*Server, error) {
 	if engine == nil {
-		engine = DefaultEngine()
+		return nil, errors.New("gdp: NewServer(nil): need an Engine")
 	}
 	if engine.registry == nil {
 		// Zero-value Engines (struct literals in tests) skip NewEngine; give
@@ -717,12 +712,11 @@ func NewServer(engine *Engine, opts ...ServerOption) (*Server, error) {
 		cellJobs = defaultConcurrency()
 	}
 	s.cellSem = make(chan struct{}, cellJobs)
-	s.coalesce = newCoalescer(s.coalesceWindow, s.coalesceMax, newCoalesceMetrics(engine.registry))
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
 	s.mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
-	s.mux.HandleFunc("/v1/estimate", s.instrument("/v1/estimate", s.handleEstimate))
-	s.mux.HandleFunc("/v1/sweep", s.instrument("/v1/sweep", handleJSON(s, s.engine.EvaluateSweep)))
+	s.mux.HandleFunc("/v1/estimate", s.instrument("/v1/estimate", handleJSON(s, s.estimate)))
+	s.mux.HandleFunc("/v1/sweep", s.instrument("/v1/sweep", handleJSON(s, s.sweep)))
 	s.mux.HandleFunc("/v1/scenarios", s.instrument("/v1/scenarios", s.handleScenarios))
 	s.mux.HandleFunc("/v1/cells", s.instrument("/v1/cells", s.handleCellsPost))
 	s.mux.HandleFunc("/v1/cells/", s.instrument("/v1/cells/{id}", s.handleCellStream))
@@ -749,8 +743,8 @@ func (r *statusRecorder) WriteHeader(code int) {
 }
 
 // requestInfo carries per-request annotations from the handler back to the
-// instrument wrapper (currently the result-cache spec-key prefix, set by
-// handleJSON once the body has decoded).
+// instrument wrapper (currently the result-cache spec-key prefix, set once
+// the body has decoded and been keyed).
 type requestInfo struct {
 	specKey string
 }
@@ -792,12 +786,8 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 // annotateSpecKey records the request's cache spec-key prefix for the access
 // log, letting operators correlate a slow request with the cache entry (and
 // the bench reports) it corresponds to.
-func annotateSpecKey(ctx context.Context, spec any) {
-	info, ok := ctx.Value(requestInfoKey{}).(*requestInfo)
-	if !ok {
-		return
-	}
-	if key, err := runner.SpecKey(spec); err == nil && len(key) >= 12 {
+func annotateSpecKey(ctx context.Context, key string) {
+	if info, ok := ctx.Value(requestInfoKey{}).(*requestInfo); ok && len(key) >= 12 {
 		info.specKey = key[:12]
 	}
 }
@@ -898,20 +888,14 @@ func (s *Server) writeCallResult(w http.ResponseWriter, resp any, err error) {
 	}
 }
 
-// handleJSON adapts an Engine method to a POST JSON endpoint with the
-// server's concurrency limit and error mapping.
+// handleJSON adapts a request handler to a POST JSON endpoint with the
+// server's error mapping. The handler takes its own concurrency slot (see
+// withSlot), so a request that needs no simulation never spends one.
 func handleJSON[Req any, Resp any](s *Server, call func(context.Context, *Req) (*Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
 			writeError(w, http.StatusMethodNotAllowed, "use POST")
-			return
-		}
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		default:
-			s.writeCallResult(w, nil, errServerBusy)
 			return
 		}
 		req := new(Req)
@@ -920,32 +904,70 @@ func handleJSON[Req any, Resp any](s *Server, call func(context.Context, *Req) (
 			writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
 			return
 		}
-		annotateSpecKey(r.Context(), req)
 		resp, err := call(r.Context(), req)
 		s.writeCallResult(w, resp, err)
 	}
 }
 
-// handleEstimate is the coalescing POST /v1/estimate endpoint. Unlike
-// handleJSON it does not hold a concurrency slot for the whole request:
-// the coalescer charges one slot per *simulation* (the group leader), so a
-// burst of identical requests costs one slot instead of shedding at the
-// limiter before it can coalesce. Joining an in-flight group is free.
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
+// withSlot runs fn under one concurrency slot, failing fast with
+// errServerBusy when every slot is taken.
+func withSlot[T any](s *Server, fn func() (T, error)) (T, error) {
+	select {
+	case s.sem <- struct{}{}:
+		defer func() { <-s.sem }()
+	default:
+		var zero T
+		return zero, errServerBusy
 	}
-	req := new(EstimateRequest)
-	body := http.MaxBytesReader(w, r.Body, s.maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
-		return
+	return fn()
+}
+
+// sweep serves POST /v1/sweep under one concurrency slot.
+func (s *Server) sweep(ctx context.Context, req *SweepRequest) (*SweepResponse, error) {
+	if key, err := runner.SpecKey(req); err == nil {
+		annotateSpecKey(ctx, key)
 	}
-	annotateSpecKey(r.Context(), req)
-	resp, err := s.coalescedEstimate(r.Context(), req)
-	s.writeCallResult(w, resp, err)
+	return withSlot(s, func() (*SweepResponse, error) { return s.engine.EvaluateSweep(ctx, req) })
+}
+
+// estimateKey is the result-cache key of one estimate: the spec key of the
+// request with its scale-dependent zero values resolved against the Engine's
+// scale. The raw body is not a safe key, because Engines of different scales
+// may share one cache (WithCache) and resolve the same body to different
+// simulations.
+func (e *Engine) estimateKey(req *EstimateRequest) (string, error) {
+	spec := struct {
+		Op      string          `json:"op"`
+		Request EstimateRequest `json:"request"`
+	}{Op: "Estimate/v1", Request: *req}
+	scale := e.Scale()
+	if spec.Request.InstructionsPerCore == 0 {
+		spec.Request.InstructionsPerCore = scale.InstructionsPerCore
+	}
+	if spec.Request.IntervalCycles == 0 {
+		spec.Request.IntervalCycles = scale.IntervalCycles
+	}
+	return runner.SpecKey(spec)
+}
+
+// estimate serves POST /v1/estimate through the Engine's result cache:
+// identical concurrent requests join one in-flight simulation, and a repeat
+// after it completed is a cache hit. The simulation itself takes the
+// concurrency slot, so the limiter bounds concurrent simulations while
+// joiners and hits ride free; a shed (errServerBusy) is never cached. A body
+// that cannot be keyed falls through to the Engine, which reports the
+// validation error, under a slot of its own.
+func (s *Server) estimate(ctx context.Context, req *EstimateRequest) (*EstimateResponse, error) {
+	run := func() (*EstimateResponse, error) {
+		return withSlot(s, func() (*EstimateResponse, error) { return s.engine.Estimate(ctx, req) })
+	}
+	key, err := s.engine.estimateKey(req)
+	if err != nil {
+		return run()
+	}
+	annotateSpecKey(ctx, key)
+	resp, _, err := runner.MemoKeyedContext(ctx, s.engine.Cache(), key, run)
+	return resp, err
 }
 
 // defaultConcurrency is the machine-derived concurrent-request default.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/perf"
+	"repro/internal/runner"
 	"repro/internal/telemetry"
 )
 
@@ -181,11 +182,20 @@ func TestAccessLogCarriesSpecKey(t *testing.T) {
 	var buf strings.Builder
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
 	srv := testServer(t, WithLogger(logger))
+	req := &EstimateRequest{Cores: 2, Mix: "H"}
 	if rec := postJSON(t, srv, "/v1/estimate", `{"cores": 2, "mix": "H"}`); rec.Code != http.StatusOK {
 		t.Fatalf("estimate status = %d", rec.Code)
 	}
+	// The logged prefix is the key the response was memoized under.
+	key, err := srv.engine.estimateKey(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := runner.Lookup[*EstimateResponse](srv.engine.Cache(), key); !ok {
+		t.Error("estimate not memoized under its estimate key")
+	}
 	out := buf.String()
-	for _, want := range []string{"msg=request", "endpoint=/v1/estimate", "status=200", "spec_key="} {
+	for _, want := range []string{"msg=request", "endpoint=/v1/estimate", "status=200", "spec_key=" + key[:12]} {
 		if !strings.Contains(out, want) {
 			t.Errorf("access log missing %q:\n%s", want, out)
 		}
