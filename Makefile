@@ -24,6 +24,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReaderStreaming -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzEstimateRequestJSON -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzSweepRequestJSON -fuzztime=$(FUZZTIME) .
+	$(GO) test -run='^$$' -fuzz=FuzzReadResults -fuzztime=$(FUZZTIME) ./internal/dispatch
 
 vet:
 	$(GO) vet ./...

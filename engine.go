@@ -30,10 +30,6 @@ type Engine struct {
 	cache    *runner.Cache
 	progress runner.ProgressFunc
 	scale    StudyScale
-	// warmupIntervals is the default checkpointed warmup-sharing prefix
-	// (in accounting intervals) applied to studies and sweeps that do not
-	// carry their own checkpoint configuration. Zero disables sharing.
-	warmupIntervals int
 	// cacheBudget bounds the result cache's memory layer in approximate
 	// bytes (WithCacheBudget); zero leaves it unbounded. Applied to the
 	// resolved cache once all options have run, so it composes with
@@ -46,12 +42,8 @@ type Engine struct {
 	registry *telemetry.Registry
 	instr    *experiments.Instrumentation
 
-	// workers is the Engine's default worker fleet (WithWorkers); pool is the
-	// long-lived dispatcher over it, sharing breaker state across sweeps.
-	// dispatchMetrics instruments every dispatcher the Engine builds,
-	// including the per-request pools of SweepWorkers.
-	workers         []string
-	pool            *dispatch.Pool
+	// dispatchMetrics instruments every dispatcher the Engine builds (the
+	// per-call pools of SweepWorkers).
 	dispatchMetrics *dispatch.Metrics
 
 	// simWorkers is the Engine's default intra-simulation parallel width
@@ -144,40 +136,6 @@ func WithCacheBudget(maxBytes int64) EngineOption {
 	}
 }
 
-// WithCheckpoints turns on checkpointed warmup sharing by default: every
-// accuracy study and sweep the Engine runs simulates its first
-// warmupIntervals accounting intervals once per unique warmup prefix
-// (memoized in the Engine's cache) and forks each cell from the snapshot.
-// Results are byte-identical with or without sharing; only wall-clock
-// changes. A study whose own warmup setting is non-zero overrides the
-// default per call; zero inherits it, and a negative per-call warmup forces
-// cold runs despite the Engine default.
-func WithCheckpoints(warmupIntervals int) EngineOption {
-	return func(e *Engine) error {
-		if warmupIntervals < 0 {
-			return fmt.Errorf("gdp: WithCheckpoints(%d): intervals must be >= 0", warmupIntervals)
-		}
-		e.warmupIntervals = warmupIntervals
-		return nil
-	}
-}
-
-// WithWorkers installs a default worker fleet: every Sweep the Engine runs is
-// sharded across the named `gdpsim serve` workers (base URLs or host[:port]
-// forms), with graceful degradation to local execution when the fleet is
-// unreachable. Rows are byte-identical to a local sweep. Malformed worker
-// URLs are rejected here, at construction, with a *dispatch.WorkerURLError.
-func WithWorkers(workers ...string) EngineOption {
-	return func(e *Engine) error {
-		parsed, err := dispatch.ParseWorkers(workers)
-		if err != nil {
-			return err
-		}
-		e.workers = parsed
-		return nil
-	}
-}
-
 // NewEngine constructs an Engine from functional options.
 func NewEngine(opts ...EngineOption) (*Engine, error) {
 	e := &Engine{scale: experiments.DefaultScale()}
@@ -193,17 +151,6 @@ func NewEngine(opts ...EngineOption) (*Engine, error) {
 		e.cache.SetMaxBytes(e.cacheBudget)
 	}
 	e.initTelemetry()
-	if len(e.workers) > 0 {
-		pool, err := dispatch.NewPool(dispatch.Options{
-			Workers:   e.workers,
-			LocalJobs: e.jobs,
-			Metrics:   e.dispatchMetrics,
-		})
-		if err != nil {
-			return nil, err
-		}
-		e.pool = pool
-	}
 	return e, nil
 }
 
@@ -377,13 +324,9 @@ func (e *Engine) RunFromCheckpoint(ctx context.Context, opts SimOptions, cp *Che
 }
 
 // AccuracyStudy runs one cell of the accounting-accuracy evaluation
-// (Figures 3-5). Unset Jobs/Cache/Progress options inherit the Engine's, as
-// does the checkpointed warmup-sharing default (WithCheckpoints).
+// (Figures 3-5). Unset Jobs/Cache/Progress options inherit the Engine's.
 func (e *Engine) AccuracyStudy(ctx context.Context, opts AccuracyOptions) (*AccuracyResult, error) {
 	e.fillStudy(&opts.Jobs, &opts.Cache, &opts.Progress, &opts.Instr)
-	if opts.Checkpoint.WarmupIntervals == 0 {
-		opts.Checkpoint.WarmupIntervals = e.warmupIntervals
-	}
 	return experiments.AccuracyStudyContext(ctx, opts)
 }
 
@@ -401,34 +344,28 @@ func (e *Engine) PartitioningStudy(ctx context.Context, opts PartitioningOptions
 	return experiments.PartitioningStudyContext(ctx, opts)
 }
 
-// Sweep runs a user-defined experiment grid through the Engine's worker pool,
-// or — when the Engine was built WithWorkers — through the distributed
-// dispatcher, with byte-identical rows either way. Unset Jobs/Cache/Progress
-// options inherit the Engine's, as does the checkpointed warmup-sharing
-// default (WithCheckpoints).
+// Sweep runs a user-defined experiment grid through the Engine's worker
+// pool. Unset Jobs/Cache/Progress options inherit the Engine's.
 func (e *Engine) Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 	e.fillStudy(&opts.Jobs, &opts.Cache, &opts.Progress, &opts.Instr)
-	if opts.WarmupIntervals == 0 {
-		opts.WarmupIntervals = e.warmupIntervals
-	}
-	if e.pool != nil {
-		return e.sweepDistributed(ctx, opts, e.pool)
-	}
 	return experiments.SweepContext(ctx, opts)
 }
 
-// SweepWorkers is Sweep sharded across an explicit worker fleet for this call
-// only (the `workers` field of POST /v1/sweep and the CLI's `-workers` flag).
-// An empty fleet falls back to the Engine's default behavior. The per-call
-// pool shares the Engine's dispatch telemetry but not its breaker state.
+// SweepWorkers is Sweep sharded across a fleet of `gdpsim serve` workers for
+// this call (the `workers` field of POST /v1/sweep and the CLI's `-workers`
+// flag). The grid is enumerated into self-contained cells (the exact cells
+// and order SweepContext executes), sharded across the fleet, and merged by
+// index, so the rows are byte-identical to a local sweep. The Engine's cache
+// fronts the fleet — cells it already holds are answered without dispatch,
+// and every completion (remote or local) is written back under the cell's
+// spec key. An empty fleet runs the local Sweep; malformed worker URLs fail
+// with a *dispatch.WorkerURLError. The per-call pool shares the Engine's
+// dispatch telemetry.
 func (e *Engine) SweepWorkers(ctx context.Context, opts SweepOptions, workers []string) (*SweepResult, error) {
 	if len(workers) == 0 {
 		return e.Sweep(ctx, opts)
 	}
 	e.fillStudy(&opts.Jobs, &opts.Cache, &opts.Progress, &opts.Instr)
-	if opts.WarmupIntervals == 0 {
-		opts.WarmupIntervals = e.warmupIntervals
-	}
 	pool, err := dispatch.NewPool(dispatch.Options{
 		Workers:   workers,
 		LocalJobs: e.jobs,
@@ -436,19 +373,6 @@ func (e *Engine) SweepWorkers(ctx context.Context, opts SweepOptions, workers []
 	})
 	if err != nil {
 		return nil, err
-	}
-	return e.sweepDistributed(ctx, opts, pool)
-}
-
-// sweepDistributed runs a sweep grid through a dispatcher pool: the grid is
-// enumerated into self-contained cells (the exact cells and order
-// SweepContext executes), sharded across the fleet, and merged by index, so
-// the rows are byte-identical to a local sweep. The Engine's cache fronts the
-// fleet — cells it already holds are answered without dispatch, and every
-// completion (remote or local) is written back under the cell's spec key.
-func (e *Engine) sweepDistributed(ctx context.Context, opts SweepOptions, pool *dispatch.Pool) (*SweepResult, error) {
-	if opts.Cache == nil {
-		opts.Cache = e.Cache()
 	}
 	cells := experiments.EnumerateSweepCells(opts)
 	cfg := experiments.CellConfig{Cache: opts.Cache, Instr: opts.Instr}
@@ -531,15 +455,6 @@ func (a cellCacheAdapter) Get(key string) ([]SweepRow, bool) {
 
 func (a cellCacheAdapter) Put(key string, rows []SweepRow) {
 	a.c.Put(key, rows)
-}
-
-// FleetHealth snapshots the Engine's default worker fleet for /healthz (nil
-// when the Engine has no fleet).
-func (e *Engine) FleetHealth() []dispatch.WorkerHealth {
-	if e.pool == nil {
-		return nil
-	}
-	return e.pool.FleetHealth()
 }
 
 // Figure3 regenerates Figures 3a/3b. A zero scale selects the Engine's.

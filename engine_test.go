@@ -51,15 +51,12 @@ func TestNewEngineOptionValidation(t *testing.T) {
 	if e.Scale().Jobs != 2 {
 		t.Error("engine jobs not reflected in Scale()")
 	}
-	if _, err := NewEngine(WithCheckpoints(-1)); err == nil {
-		t.Error("negative checkpoint warmup accepted")
-	}
 }
 
 // TestEngineCheckpointFork drives the Engine's explicit checkpoint surface:
 // a fork from Engine.Checkpoint must equal a cold Engine.Run byte for byte.
 func TestEngineCheckpointFork(t *testing.T) {
-	e, err := NewEngine(WithCheckpoints(2))
+	e, err := NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}

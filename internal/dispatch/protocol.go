@@ -21,7 +21,12 @@ import (
 // ProtocolVersion is the worker wire protocol version. A worker rejects a
 // batch whose api_version it does not speak, so a mixed-version fleet fails
 // loudly at dispatch time instead of corrupting a sweep.
-const ProtocolVersion = "v1"
+//
+// v2 is one request per batch: POST /v1/cells answers 200 at once and
+// streams the batch's NDJSON CellResult lines on the same response, ending
+// with the done line. (v1 acknowledged the POST with a batch id and streamed
+// from a separate GET.)
+const ProtocolVersion = "v2"
 
 // CellEnvelope pairs a cell with its index in the dispatcher's grid, so
 // streamed results merge back by position no matter which worker ran them or
@@ -38,25 +43,17 @@ type CellsRequest struct {
 	Cells      []CellEnvelope `json:"cells"`
 }
 
-// CellsResponse acknowledges an accepted batch. Results are streamed
-// separately from GET /v1/cells/{batch_id}.
-type CellsResponse struct {
-	APIVersion string `json:"api_version"`
-	BatchID    string `json:"batch_id"`
-	Cells      int    `json:"cells"`
-}
-
-// CellResult is one NDJSON line of GET /v1/cells/{id}: a completed cell (Rows
-// set), a failed cell (Error set), or the terminal line (Done true) that
-// closes the stream. SpecKey is the cell's content hash, echoed so the
+// CellResult is one NDJSON line of the POST /v1/cells response: a completed
+// cell (Rows set), a failed cell (Error set), or the terminal line (Done
+// true) that closes the stream. SpecKey is the cell's content hash, echoed so the
 // dispatcher can populate its own cache without re-hashing.
 type CellResult struct {
 	Index   int                    `json:"index"`
 	SpecKey string                 `json:"spec_key,omitempty"`
 	Rows    []experiments.SweepRow `json:"rows,omitempty"`
 	Error   string                 `json:"error,omitempty"`
-	// Retryable marks an error that reflects the worker's state (shutdown,
-	// batch timeout) rather than the cell itself: the dispatcher reschedules
+	// Retryable marks an error that reflects the worker's state (dispatcher
+	// gone, batch timeout, a recovered panic) rather than the cell itself: the dispatcher reschedules
 	// the cell instead of failing the sweep.
 	Retryable bool `json:"retryable,omitempty"`
 

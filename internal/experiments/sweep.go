@@ -64,8 +64,7 @@ type SweepOptions struct {
 	// co-simulates GDP/GDP-O units for every size in PRBSizes), and ASM cells
 	// share their own invasive prefix across PRB variants. Results are
 	// byte-identical with or without warmup sharing; only wall-clock changes.
-	// Zero disables sharing (unless an Engine WithCheckpoints default fills
-	// it in); negative forces cold runs despite such a default.
+	// Zero or negative disables sharing.
 	WarmupIntervals int
 }
 

@@ -42,6 +42,7 @@ func (t *SnapshotTable) Ref(r *Request) int32 {
 // reference restored from the same index aliases the same object.
 type RestoreTable struct {
 	reqs []*Request
+	err  error // the first out-of-range reference Get saw
 }
 
 // NewRestoreTable builds live request objects from the serialized values.
@@ -54,18 +55,25 @@ func NewRestoreTable(values []Request) *RestoreTable {
 	return t
 }
 
-// Get resolves a table reference. NilRef yields nil; an out-of-range index is
-// a corrupted checkpoint and panics with a descriptive message (the caller
-// validates checkpoints before restoring, so this is a programming error).
+// Get resolves a table reference. NilRef yields nil. An out-of-range index
+// marks a corrupted checkpoint: Get yields nil and records the first such
+// reference for Err, so a restore never panics on bad input.
 func (t *RestoreTable) Get(i int32) *Request {
 	if i == NilRef {
 		return nil
 	}
 	if i < 0 || int(i) >= len(t.reqs) {
-		panic(fmt.Sprintf("mem: request reference %d outside table of %d entries", i, len(t.reqs)))
+		if t.err == nil {
+			t.err = fmt.Errorf("mem: request reference %d outside table of %d entries", i, len(t.reqs))
+		}
+		return nil
 	}
 	return t.reqs[i]
 }
+
+// Err reports the first out-of-range reference Get resolved, if any. A
+// restore is only sound when Err is nil once every component has restored.
+func (t *RestoreTable) Err() error { return t.err }
 
 // Len returns the number of table entries.
 func (t *RestoreTable) Len() int { return len(t.reqs) }

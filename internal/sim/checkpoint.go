@@ -47,11 +47,19 @@ var ErrWarmupTooLong = errors.New("sim: run ended before the checkpoint cycle")
 // ErrCheckpointMismatch wraps every reason a checkpoint cannot seed a
 // particular fork (diverging configuration, workload, seed, interval, an
 // instruction sample the warmup already exceeded, a missing accountant
-// state). Callers use errors.Is to fall back to a cold run.
+// state, a corrupted snapshot). Callers use errors.Is to fall back to a cold
+// run.
 var ErrCheckpointMismatch = errors.New("sim: checkpoint does not match the run options")
 
 func mismatchf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCheckpointMismatch, fmt.Sprintf(format, args...))
+}
+
+// restoreMismatch wraps a failed restore: whatever a component found wrong
+// (a reference or queue position out of range, a state of the wrong shape),
+// the checkpoint cannot seed this run, and callers fall back to a cold one.
+func restoreMismatch(err error) error {
+	return fmt.Errorf("%w: %w", ErrCheckpointMismatch, err)
 }
 
 // IntervalRecordBase is the accountant-independent part of one warmup
@@ -317,23 +325,29 @@ func RunFromCheckpoint(ctx context.Context, opts Options, cp *Checkpoint) (*Resu
 		states[ai], snappers[ai] = acp, s
 	}
 
-	rt := mem.NewRestoreTable(cp.Requests)
-	if err := st.shared.Restore(cp.Memsys, rt); err != nil {
-		return nil, err
+	restore := func() error {
+		rt := mem.NewRestoreTable(cp.Requests)
+		if err := st.shared.Restore(cp.Memsys, rt); err != nil {
+			return err
+		}
+		for i, core := range st.cores {
+			if err := core.Restore(cp.Cores[i], rt); err != nil {
+				return err
+			}
+			if err := trace.RestoreSource(st.sources[i], cp.Sources[i]); err != nil {
+				return err
+			}
+			st.lastSnapshot[i] = core.Stats()
+		}
+		for ai := range opts.Accountants {
+			if err := snappers[ai].RestoreState(states[ai].State, rt); err != nil {
+				return err
+			}
+		}
+		return rt.Err()
 	}
-	for i, core := range st.cores {
-		if err := core.Restore(cp.Cores[i], rt); err != nil {
-			return nil, err
-		}
-		if err := trace.RestoreSource(st.sources[i], cp.Sources[i]); err != nil {
-			return nil, err
-		}
-		st.lastSnapshot[i] = core.Stats()
-	}
-	for ai := range opts.Accountants {
-		if err := snappers[ai].RestoreState(states[ai].State, rt); err != nil {
-			return nil, err
-		}
+	if err := restore(); err != nil {
+		return nil, restoreMismatch(err)
 	}
 
 	// Reconstitute the warmup's interval records exactly as a cold run would
@@ -416,6 +430,8 @@ func (cp *PrivateCheckpoint) validatePrivateFork(cfg *config.CMPConfig, bench wo
 		return mismatchf("sample points diverge from the private checkpoint's")
 	case seed != cp.Seed:
 		return mismatchf("seed %d, private checkpoint used %d", seed, cp.Seed)
+	case cp.Next < 0 || cp.Next > len(samplePoints):
+		return mismatchf("next sample point %d outside the %d sample points", cp.Next, len(samplePoints))
 	case maxCycles != 0 && maxCycles <= cp.Cycle:
 		return mismatchf("cycle budget %d not beyond the checkpoint cycle %d", maxCycles, cp.Cycle)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/accounting"
 	"repro/internal/config"
+	"repro/internal/memsys"
 	"repro/internal/partition"
 	"repro/internal/workload"
 )
@@ -331,6 +332,81 @@ func TestForkValidationRejectsMismatches(t *testing.T) {
 			t.Fatalf("expected ErrCheckpointMismatch, got %v", err)
 		}
 	})
+}
+
+// TestCorruptedCheckpointFallsBack corrupts a real checkpoint the way a disk
+// bit-flip that keeps the JSON valid would: every corruption must fail the
+// fork with ErrCheckpointMismatch (the experiments layer's cold-fallback
+// signal), never panic the process.
+func TestCorruptedCheckpointFallsBack(t *testing.T) {
+	ctx := context.Background()
+	opts := scenarioOptions(t, "streaming", 4)
+	cp, err := RunToCheckpoint(ctx, prefixOptions(t, "streaming", 4), opts.IntervalCycles*2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := 0
+	for core < len(cp.Cores) && len(cp.Cores[core].ROB) == 0 {
+		core++
+	}
+	if core == len(cp.Cores) {
+		t.Fatal("no core holds ROB entries at the checkpoint")
+	}
+	badRef := int32(len(cp.Requests)) + 7
+	robLen := len(cp.Cores[core].ROB)
+	cases := map[string]func(*Checkpoint){
+		"rob-ref": func(c *Checkpoint) { c.Cores[core].ROB[0].Req = badRef },
+		"memsys-lookup-ref": func(c *Checkpoint) {
+			c.Memsys.InLookup = append(c.Memsys.InLookup, memsys.LookupState{Req: badRef})
+		},
+		"issue-queue-position": func(c *Checkpoint) {
+			c.Cores[core].IssueQueue = append(c.Cores[core].IssueQueue, robLen+3)
+		},
+		"stall-position": func(c *Checkpoint) { c.Cores[core].StalledOn = robLen + 5 },
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			var bad Checkpoint
+			if err := json.Unmarshal(raw, &bad); err != nil {
+				t.Fatal(err)
+			}
+			corrupt(&bad)
+			if _, err := RunFromCheckpoint(ctx, opts, &bad); !errors.Is(err, ErrCheckpointMismatch) {
+				t.Fatalf("expected ErrCheckpointMismatch, got %v", err)
+			}
+		})
+	}
+	sc, err := workload.ScenarioByName("streaming")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, err := sc.Workload(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	private := map[string]func(*PrivateCheckpoint){
+		"private-rob-ref":     func(c *PrivateCheckpoint) { c.Core.ROB[0].Req = int32(len(c.Requests)) + 7 },
+		"private-next-sample": func(c *PrivateCheckpoint) { c.Next = -1 },
+	}
+	for name, corrupt := range private {
+		t.Run(name, func(t *testing.T) {
+			pcp, err := RunPrivateToCheckpoint(ctx, config.ScaledConfig(1), wl.Benchmarks[0], []uint64{1000, 2500, 4000}, 11, 3000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pcp.Core.ROB) == 0 {
+				t.Fatal("private checkpoint holds no ROB entries")
+			}
+			corrupt(pcp)
+			if _, err := RunPrivateFromCheckpoint(ctx, pcp, 0); !errors.Is(err, ErrCheckpointMismatch) {
+				t.Fatalf("expected ErrCheckpointMismatch, got %v", err)
+			}
+		})
+	}
 }
 
 // TestWarmupTooLongReported: a prefix whose run finishes before the boundary

@@ -797,18 +797,24 @@ func runPrivate(ctx context.Context, cfg *config.CMPConfig, bench workload.Bench
 		if err := cp.validatePrivateFork(cfg, bench, samplePoints, seed, maxCycles); err != nil {
 			return nil, nil, err
 		}
-		rt := mem.NewRestoreTable(cp.Requests)
-		if err := shared.Restore(cp.Memsys, rt); err != nil {
-			return nil, nil, err
+		restore := func() error {
+			rt := mem.NewRestoreTable(cp.Requests)
+			if err := shared.Restore(cp.Memsys, rt); err != nil {
+				return err
+			}
+			if err := core.Restore(cp.Core, rt); err != nil {
+				return err
+			}
+			if err := trace.RestoreSource(gen, cp.Source); err != nil {
+				return err
+			}
+			if err := ref.Restore(cp.Ref); err != nil {
+				return err
+			}
+			return rt.Err()
 		}
-		if err := core.Restore(cp.Core, rt); err != nil {
-			return nil, nil, err
-		}
-		if err := trace.RestoreSource(gen, cp.Source); err != nil {
-			return nil, nil, err
-		}
-		if err := ref.Restore(cp.Ref); err != nil {
-			return nil, nil, err
+		if err := restore(); err != nil {
+			return nil, nil, restoreMismatch(err)
 		}
 		next = cp.Next
 		out.At = append(out.At, cp.At...)

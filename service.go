@@ -602,9 +602,10 @@ type Server struct {
 	// pprofEnabled mounts net/http/pprof under /debug/pprof/.
 	pprofEnabled bool
 	metrics      *httpServerMetrics
-	// batches, cellSem and dispatchSrv form the worker side of the
-	// distributed dispatch protocol (see service_cells.go).
-	batches     *batchRegistry
+	// batchSlots, cellSem and dispatchSrv form the worker side of the
+	// distributed dispatch protocol (see service_cells.go): one slot per
+	// executing batch, one per executing cell.
+	batchSlots  chan struct{}
 	cellSem     chan struct{}
 	dispatchSrv *dispatchServerMetrics
 }
@@ -693,7 +694,7 @@ func NewServer(engine *Engine, opts ...ServerOption) (*Server, error) {
 		maxBodyBytes: 1 << 20,
 		logger:       slog.New(slog.DiscardHandler),
 		metrics:      newHTTPServerMetrics(engine.registry),
-		batches:      newBatchRegistry(),
+		batchSlots:   make(chan struct{}, maxActiveCellBatches),
 		dispatchSrv:  newDispatchServerMetrics(engine.registry),
 	}
 	for _, opt := range opts {
@@ -719,7 +720,6 @@ func NewServer(engine *Engine, opts ...ServerOption) (*Server, error) {
 	s.mux.HandleFunc("/v1/sweep", s.instrument("/v1/sweep", handleJSON(s, s.sweep)))
 	s.mux.HandleFunc("/v1/scenarios", s.instrument("/v1/scenarios", s.handleScenarios))
 	s.mux.HandleFunc("/v1/cells", s.instrument("/v1/cells", s.handleCellsPost))
-	s.mux.HandleFunc("/v1/cells/", s.instrument("/v1/cells/{id}", s.handleCellStream))
 	if s.pprofEnabled {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -741,6 +741,10 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.status = code
 	r.ResponseWriter.WriteHeader(code)
 }
+
+// Unwrap exposes the underlying writer, so http.ResponseController can flush
+// a streamed response through the recorder.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 // requestInfo carries per-request annotations from the handler back to the
 // instrument wrapper (currently the result-cache spec-key prefix, set once
@@ -832,9 +836,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"cache_hits":     stats.MemoryHits + stats.DiskHits + stats.InflightJoins,
 		"cache_misses":   stats.Misses,
 		"cache":          stats,
-	}
-	if fleet := s.engine.FleetHealth(); fleet != nil {
-		body["fleet"] = fleet
 	}
 	writeJSON(w, http.StatusOK, body)
 }

@@ -29,9 +29,9 @@ func dispatchTestScale() StudyScale {
 
 // newWorker boots one real worker: a fresh Engine (own cache) behind a real
 // HTTP listener, exactly what `gdpsim serve` runs.
-func newWorker(t *testing.T) (*httptest.Server, *Server) {
+func newWorker(t *testing.T, opts ...EngineOption) (*httptest.Server, *Server) {
 	t.Helper()
-	engine, err := NewEngine(WithScale(dispatchTestScale()))
+	engine, err := NewEngine(append([]EngineOption{WithScale(dispatchTestScale())}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,43 +110,14 @@ func TestSweepWorkersMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestEngineWithWorkersRoutesSweep checks the WithWorkers construction path:
-// Engine.Sweep itself dispatches, and FleetHealth reports the fleet.
-func TestEngineWithWorkersRoutesSweep(t *testing.T) {
-	want := localSweepRows(t)
-
-	w1, _ := newWorker(t)
-	engine, err := NewEngine(WithScale(dispatchTestScale()), WithWorkers(w1.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet := engine.FleetHealth()
-	if len(fleet) != 1 || fleet[0].State != "healthy" {
-		t.Fatalf("fleet = %+v, want one healthy worker", fleet)
-	}
-	res, err := engine.Sweep(t.Context(), dispatchTestSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rowsJSON(t, res.Rows); got != want {
-		t.Errorf("WithWorkers rows differ from local:\n got %s\nwant %s", got, want)
-	}
-}
-
-func TestWithWorkersRejectsBadURL(t *testing.T) {
-	_, err := NewEngine(WithWorkers("http://host/path"))
-	if err == nil {
-		t.Fatal("WithWorkers accepted a URL with a path")
-	}
-}
-
 // killableWorker proxies a real worker and then "dies" mid-grid: the first
-// result stream is cut after one line and every later request is refused, so
-// the dispatcher must finish the grid via retry/steal on the survivors.
+// batch's result stream is cut after one line and every later request is
+// refused, so the dispatcher must finish the grid via retry/steal on the
+// survivors.
 type killableWorker struct {
 	srv      *Server
 	killed   atomic.Bool
-	streams  atomic.Int64
+	batches  atomic.Int64
 	rejected atomic.Int64
 }
 
@@ -156,7 +127,7 @@ func (k *killableWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "worker down", http.StatusServiceUnavailable)
 		return
 	}
-	if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/cells/") && k.streams.Add(1) == 1 {
+	if r.Method == http.MethodPost && r.URL.Path == "/v1/cells" && k.batches.Add(1) == 1 {
 		k.srv.ServeHTTP(&cutWriter{ResponseWriter: w, allow: 1, onCut: func() { k.killed.Store(true) }}, r)
 		return
 	}
@@ -296,9 +267,10 @@ func TestSweepEndpointWorkersValidation(t *testing.T) {
 	}
 }
 
-// TestCellsEndpointProtocol exercises the worker wire endpoints directly:
-// a valid batch streams per-cell lines ending in a done line; malformed
-// batches are 400s; unknown batch ids are 404s.
+// TestCellsEndpointProtocol exercises the worker wire endpoint directly: a
+// valid batch is one POST whose response streams per-cell lines ending in a
+// done line; malformed batches, including ones in the retired v1 protocol,
+// are 400s.
 func TestCellsEndpointProtocol(t *testing.T) {
 	srv := testServer(t)
 	cell := experiments.Cell{
@@ -314,24 +286,12 @@ func TestCellsEndpointProtocol(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("batch status = %d, body = %s", rec.Code, rec.Body.String())
 	}
-	var ack dispatch.CellsResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
-		t.Fatal(err)
+	if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Errorf("Content-Type = %q, want application/x-ndjson", ct)
 	}
-	if ack.APIVersion != dispatch.ProtocolVersion || ack.BatchID == "" || ack.Cells != 1 {
-		t.Fatalf("bad ack: %+v", ack)
-	}
-
-	// The stream handler blocks until the done line; a recorder collects it.
-	streamReq := httptest.NewRequest(http.MethodGet, "/v1/cells/"+ack.BatchID, nil)
-	streamRec := httptest.NewRecorder()
-	srv.ServeHTTP(streamRec, streamReq)
-	if streamRec.Code != http.StatusOK {
-		t.Fatalf("stream status = %d", streamRec.Code)
-	}
-	lines := strings.Split(strings.TrimSpace(streamRec.Body.String()), "\n")
+	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
 	if len(lines) != 2 {
-		t.Fatalf("stream lines = %d, want 2 (result + done):\n%s", len(lines), streamRec.Body.String())
+		t.Fatalf("stream lines = %d, want 2 (result + done):\n%s", len(lines), rec.Body.String())
 	}
 	var res, done dispatch.CellResult
 	if err := json.Unmarshal([]byte(lines[0]), &res); err != nil {
@@ -347,60 +307,16 @@ func TestCellsEndpointProtocol(t *testing.T) {
 		t.Errorf("done line: %+v", done)
 	}
 
-	// Replay: a second stream of the same batch returns the same lines.
-	replayRec := httptest.NewRecorder()
-	srv.ServeHTTP(replayRec, httptest.NewRequest(http.MethodGet, "/v1/cells/"+ack.BatchID, nil))
-	if replayRec.Body.String() != streamRec.Body.String() {
-		t.Error("replayed stream differs from the first stream")
-	}
-
 	for name, body := range map[string]string{
 		"wrong version": `{"api_version": "v0", "cells": [{"index": 0}]}`,
-		"empty batch":   `{"api_version": "v1"}`,
-		"bad cell":      `{"api_version": "v1", "cells": [{"index": 0, "cell": {"kind": "nope", "cores": 2}}]}`,
-		"neg index":     `{"api_version": "v1", "cells": [{"index": -1, "cell": {"kind": "accuracy", "cores": 2, "mix": "H", "prb": 16}}]}`,
+		"v1 protocol":   strings.Replace(string(reqBody), `"api_version":"v2"`, `"api_version":"v1"`, 1),
+		"empty batch":   `{"api_version": "v2"}`,
+		"bad cell":      `{"api_version": "v2", "cells": [{"index": 0, "cell": {"kind": "nope", "cores": 2}}]}`,
+		"neg index":     `{"api_version": "v2", "cells": [{"index": -1, "cell": {"kind": "accuracy", "cores": 2, "mix": "H", "prb": 16}}]}`,
 	} {
 		if rec := postJSON(t, srv, "/v1/cells", body); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400 (body %s)", name, rec.Code, rec.Body.String())
 		}
-	}
-
-	notFound := httptest.NewRecorder()
-	srv.ServeHTTP(notFound, httptest.NewRequest(http.MethodGet, "/v1/cells/doesnotexist", nil))
-	if notFound.Code != http.StatusNotFound {
-		t.Errorf("unknown batch: status = %d, want 404", notFound.Code)
-	}
-}
-
-// TestHealthzFleetSection: a dispatcher engine built WithWorkers reports fleet
-// health on /healthz; a plain engine omits the section.
-func TestHealthzFleetSection(t *testing.T) {
-	w1, _ := newWorker(t)
-	engine, err := NewEngine(WithScale(dispatchTestScale()), WithWorkers(w1.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(engine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	var body struct {
-		Fleet []dispatch.WorkerHealth `json:"fleet"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatal(err)
-	}
-	if len(body.Fleet) != 1 || body.Fleet[0].URL != w1.URL {
-		t.Errorf("fleet = %+v, want the one worker", body.Fleet)
-	}
-
-	plain := testServer(t)
-	rec = httptest.NewRecorder()
-	plain.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	if strings.Contains(rec.Body.String(), `"fleet"`) {
-		t.Error("fleet section present on a worker-less engine")
 	}
 }
 
